@@ -19,7 +19,7 @@ vet:
 # The full suite under -race is slow (the solvers are CPU-bound); race
 # covers the packages that actually share state across goroutines.
 race:
-	$(GO) test -race -timeout 30m ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./internal/load ./dist ./dist/fit ./modelspec
+	$(GO) test -race -timeout 30m ./internal/fft ./internal/gridfn ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./internal/load ./dist ./dist/fit ./modelspec
 
 # Boot dtrserved on a random port, drive every endpoint plus a /metrics
 # scrape, and verify a clean SIGTERM drain.

@@ -40,28 +40,30 @@ import (
 
 // Solver evaluates canonical-scenario metrics on a fixed time lattice.
 //
-// A Solver is safe for concurrent use: the service-sum prefix tables are
-// immutable after construction, and the two lazy caches (forward FFTs of
-// the prefixes, transfer-time lattices) are guarded by an internal lock.
-// A cache miss computes outside the lock and discards the duplicate if
-// another goroutine stored first, so concurrent sweeps over the policy
-// lattice return bit-identical values to a serial scan. Set TailCorrect
-// before sharing the solver across goroutines.
+// A Solver is safe for concurrent use: the service-sum prefix tables and
+// their spectra are immutable after construction, and the lazy
+// transfer-time cache is guarded by an internal lock. A cache miss
+// computes outside the lock and discards the duplicate if another
+// goroutine stored first, so concurrent sweeps over the policy lattice
+// return bit-identical values to a serial scan. Set TailCorrect before
+// sharing the solver across goroutines.
 type Solver struct {
 	model *core.Model
 	dx    float64
 	n     int
 
-	fsize int // FFT length for cached frequency-domain convolution
-
 	// pre[k][f-1][j] is the law of the sum of j i.i.d. effective service
 	// times at server k under replication factor f — each task's law is
 	// the min-of-f order statistic of the base service law
-	// (cancel-on-first-complete replication); preF[k][f-1][j] is its
-	// cached forward FFT. Factor 1 is the base law, so a solver built
-	// with MaxFactor ≤ 1 has exactly the pre-replication tables.
+	// (cancel-on-first-complete replication); preF[k][f-1][j] is its half
+	// spectrum (gridfn.SpectrumLen bins), produced by the prefix chain
+	// itself. Factor 1 is the base law, so a solver built with
+	// MaxFactor ≤ 1 has exactly the pre-replication tables.
 	pre  [2][][]*gridfn.Lattice
 	preF [2][][][]complex128
+
+	// scratch recycles convWithPrefix's transform buffers (*convScratch).
+	scratch sync.Pool
 
 	// maxFac is the largest replication factor with prefix tables;
 	// defFac[k] is server k's default factor (the model's Repl entry,
@@ -71,9 +73,8 @@ type Solver struct {
 
 	zCache map[[3]int]*gridfn.Lattice
 
-	// mu guards the preF slots and zCache. Cached values (FFT buffers,
-	// transfer lattices) are never mutated once published, so readers
-	// only need the lock for the map/slot access itself.
+	// mu guards zCache. Transfer lattices are never mutated once
+	// published, so readers only need the lock for the map access itself.
 	mu sync.RWMutex
 
 	// TailCorrect adds the single-big-jump tail-excess estimate to mean
@@ -122,7 +123,7 @@ type Config struct {
 	MaxQueue [2]int
 	// Span, when set, attaches solver-phase sub-spans to a request-scoped
 	// trace: a "solver_build" child for the prefix-table construction, and
-	// "fft" / "transfer_law" children for lazy cache fills. Purely
+	// "transfer_law" children for lazy cache fills. Purely
 	// observational — results are bit-identical with or without it.
 	Span *obs.Span
 	// ErrorProbe enables ProbeGridError: the solver may lazily build a
@@ -186,7 +187,6 @@ func NewSolver(m *core.Model, cfg Config) (*Solver, error) {
 		model:        m,
 		dx:           dx,
 		n:            n,
-		fsize:        fft.NextPow2(2*n - 1),
 		zCache:       make(map[[3]int]*gridfn.Lattice),
 		TailCorrect:  true,
 		span:         cfg.Span,
@@ -205,8 +205,7 @@ func NewSolver(m *core.Model, cfg Config) (*Solver, error) {
 		for f := 1; f <= maxFac; f++ {
 			eff := dist.NewMinOfK(m.Service[k], f)
 			base := gridfn.FromCDF(eff.CDF, dx, n)
-			s.pre[k][f-1] = base.PrefixesMetered(cfg.MaxQueue[k], &s.buildMeter)
-			s.preF[k][f-1] = make([][]complex128, len(s.pre[k][f-1]))
+			s.pre[k][f-1], s.preF[k][f-1] = base.PrefixSpectra(cfg.MaxQueue[k], &s.buildMeter)
 		}
 	}
 	build.SetAttr("build_folds", s.buildMeter.Folds)
@@ -239,61 +238,34 @@ func (s *Solver) Dx() float64 { return s.dx }
 // Horizon returns the last lattice time point.
 func (s *Solver) Horizon() float64 { return float64(s.n-1) * s.dx }
 
-// freqOf returns (computing lazily) the forward FFT of the j-fold
-// effective service sum at server k under replication factor fac.
-// Concurrent misses on the same slot each compute the transform, but only
-// the first store is published; the loser's copy is discarded (counted as
-// a duplicate — the cache-contention signal) so every caller reads the
-// same buffer.
-func (s *Solver) freqOf(k, fac, j int) []complex128 {
-	s.mu.RLock()
-	f := s.preF[k][fac-1][j]
-	s.mu.RUnlock()
-	if f != nil {
-		fftHits.Inc()
-		return f
-	}
-	fftMisses.Inc()
-	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", s.pre[k][fac-1][j].Tail)
-	defer sp.End()
-	buf := make([]complex128, s.fsize)
-	for i, v := range s.pre[k][fac-1][j].M {
-		buf[i] = complex(v, 0)
-	}
-	fft.Forward(buf)
-	s.mu.Lock()
-	if f := s.preF[k][fac-1][j]; f != nil {
-		s.mu.Unlock()
-		fftDupComputes.Inc()
-		return f
-	}
-	s.preF[k][fac-1][j] = buf
-	s.mu.Unlock()
-	return buf
+// convScratch is one convolution's transform workspace: a half spectrum
+// and the full linear-convolution output.
+type convScratch struct {
+	spec []complex128
+	full []float64
 }
 
 // convWithPrefix convolves l with the j-fold effective service sum at
-// server k under factor fac using the cached transform; overflow and tail
-// interactions accumulate into the result's Tail exactly as
-// gridfn.Convolve does.
+// server k under factor fac using the prefix's stored spectrum; overflow
+// and tail interactions accumulate into the result's Tail exactly as
+// gridfn.Convolve does. It allocates only the lattice it returns.
 func (s *Solver) convWithPrefix(l *gridfn.Lattice, k, fac, j int) *gridfn.Lattice {
 	if j == 0 {
 		return l.Clone()
 	}
-	buf := make([]complex128, s.fsize)
-	for i, v := range l.M {
-		buf[i] = complex(v, 0)
+	sc, ok := s.scratch.Get().(*convScratch)
+	if !ok {
+		m := gridfn.SpectrumLen(s.n)
+		sc = &convScratch{spec: make([]complex128, m), full: make([]float64, 2*(m-1))}
 	}
-	fft.Forward(buf)
-	pf := s.freqOf(k, fac, j)
-	for i := range buf {
-		buf[i] *= pf[i]
-	}
-	fft.Inverse(buf)
+	defer s.scratch.Put(sc)
+	fft.RealForward(sc.spec, l.M)
+	fftHits.Inc() // every prefix spectrum is built with the tables
+	fft.MulSpectra(sc.spec, s.preF[k][fac-1][j])
+	fft.RealInverse(sc.full, sc.spec)
 	out := &gridfn.Lattice{Dx: s.dx, M: make([]float64, s.n)}
 	var kept, neg float64
-	for i := 0; i < s.n; i++ {
-		v := real(buf[i])
+	for i, v := range sc.full[:s.n] {
 		if v < 0 {
 			neg -= v
 			v = 0 // FFT round-off
@@ -319,16 +291,16 @@ func (s *Solver) convWithPrefix(l *gridfn.Lattice, k, fac, j int) *gridfn.Lattic
 	// part restored, beyond-horizon part included) deviates from it only
 	// by FFT round-off.
 	var rawTail float64
-	for i := s.n; i < s.fsize; i++ {
-		rawTail += real(buf[i])
+	for _, v := range sc.full[s.n:] {
+		rawTail += v
 	}
 	s.noteFold(math.Abs(kept-neg+rawTail-massL*massP), neg)
 	return out
 }
 
 // zLattice returns the lattice law of the transfer time of a group of
-// `tasks` tasks from src to dst, cached per signature. Like freqOf, a
-// racing miss discards its duplicate in favour of the first store.
+// `tasks` tasks from src to dst, cached per signature. A racing miss
+// discards its duplicate in favour of the first store.
 func (s *Solver) zLattice(tasks, src, dst int) *gridfn.Lattice {
 	key := [3]int{tasks, src, dst}
 	s.mu.RLock()
@@ -602,7 +574,9 @@ func (s *Solver) CompletionCDFRepl(m1, m2, l12, l21 int, fac [2]int) ([]float64,
 					run += m * y.Survival(float64(i)*f.Dx)
 				}
 			}
-			cdf[i] *= run
+			// FFT round-off can carry the running sum just below 0 or
+			// above 1; a product of factors clamped to [0, 1] stays there.
+			cdf[i] *= min(max(run, 0), 1)
 		}
 	}
 	return cdf, nil

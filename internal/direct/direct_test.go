@@ -2,6 +2,8 @@ package direct
 
 import (
 	"math"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"dtr/dist"
@@ -364,6 +366,94 @@ func TestCompletionCDFConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	almost(t, cdf[len(cdf)-1], rel, 1e-6, "CDF limit vs reliability")
+}
+
+// randomLaw draws a service law of the given mean from the families a
+// served spec may name.
+func randomLaw(r *rand.Rand, mean float64) dist.Dist {
+	switch r.IntN(5) {
+	case 0:
+		return dist.NewPareto(2.2+0.8*r.Float64(), mean)
+	case 1:
+		return dist.NewGamma(1.5+2*r.Float64(), mean)
+	case 2:
+		return dist.NewLogNormal(0.4+0.8*r.Float64(), mean)
+	case 3:
+		return dist.NewHyperExponential2(mean, 1.5+3.5*r.Float64())
+	default:
+		return dist.NewExponential(mean)
+	}
+}
+
+// TestCompletionCDFIsProbability: on seeded random two-server specs —
+// paper-scale queues, heavy- and light-tailed laws, reliable and
+// failure-prone servers — every point of the completion CDF lies in
+// [0, 1] exactly, FFT round-off notwithstanding.
+func TestCompletionCDFIsProbability(t *testing.T) {
+	r := rand.New(rand.NewPCG(17, 18))
+	for trial := 0; trial < 6; trial++ {
+		m1, m2 := 40+r.IntN(21), 20+r.IntN(11)
+		fm1, fm2 := 0.0, 0.0
+		if trial%2 == 1 {
+			fm1, fm2 = 150+850*r.Float64(), 150+850*r.Float64()
+		}
+		m := model2(randomLaw(r, 2+3*r.Float64()), randomLaw(r, 1+1.5*r.Float64()), fm1, fm2, 0.5+2.5*r.Float64())
+		s, err := NewSolver(m, Config{N: 1 << 12, MaxQueue: [2]int{m1 + m2, m1 + m2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range [][2]int{{0, 0}, {m1 / 5, 0}, {m1 / 2, 0}, {0, m2 / 3}} {
+			cdf, err := s.CompletionCDF(m1, m2, l[0], l[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range cdf {
+				if !(v >= 0 && v <= 1) {
+					t.Fatalf("trial %d policy %v: cdf[%d] = %.17g outside [0, 1]", trial, l, i, v)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestMeanTimeAllocatesOnlyLattices: on a prebuilt solver with warm
+// caches one MeanTime evaluation allocates only the lattices it builds —
+// two per server (the arrival race and the finish law) and their
+// maximum, one struct and one mass slice each — plus the transfer law
+// each server's tail-excess estimate constructs, and no transform
+// buffers.
+func TestMeanTimeAllocatesOnlyLattices(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 1 << 13
+	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
+	s := newSolver(t, m, 30, n, 400)
+	eval := func() {
+		if _, err := s.MeanTime(20, 10, 4, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval() // fill the transfer-law cache and the scratch pool
+	const lattices = 5
+	if a := testing.AllocsPerRun(20, eval); a > 2*lattices+2 {
+		t.Fatalf("MeanTime: %v allocations per evaluation, want at most %d", a, 2*lattices+2)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reps = 20
+	for i := 0; i < reps; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	// Each lattice holds n float64s; a transform buffer alone would be
+	// 2n or more.
+	if per, limit := (after.TotalAlloc-before.TotalAlloc)/reps, uint64(lattices*(8*n+64)+128); per > limit {
+		t.Fatalf("MeanTime: %d bytes per evaluation, want at most %d (%d lattices)", per, limit, lattices)
+	}
 }
 
 // TestHyperExponentialCrossCheck: the over-dispersed mixture family runs

@@ -7,8 +7,12 @@ import "dtr/internal/obs"
 // one atomic load. Evaluations are counted per finish-pair construction,
 // the unit Figs. 1–3 sweep over.
 // The *_dup_computes counters are the cache-contention signal of
-// concurrent sweeps: each one is a transform or discretization computed
-// by a goroutine that lost the publish race and threw its copy away.
+// concurrent sweeps: each one is a discretization computed by a
+// goroutine that lost the publish race and threw its copy away. The
+// prefix spectra are built with the prefix tables, so every FFT-cache
+// lookup is a hit and the FFT miss and dup-compute counters stay at
+// zero; they remain registered because dashboards and the benchmark
+// read them.
 var (
 	fftHits        = obs.NewCounter("dtr_direct_fft_cache_hits_total")
 	fftMisses      = obs.NewCounter("dtr_direct_fft_cache_misses_total")

@@ -3,6 +3,9 @@ package exper
 import (
 	"strings"
 	"testing"
+
+	"dtr/internal/direct"
+	"dtr/internal/policy"
 )
 
 // TestTable2Shapes: the five-server reproduction must preserve the
@@ -98,6 +101,34 @@ func TestFig4COptimum(t *testing.T) {
 	if res.Value < 0.22 || res.Value > 0.45 {
 		t.Fatalf("optimal reliability %.4f, expected ≈0.31 from the stated parameters", res.Value)
 	}
+}
+
+// TestTestbedSolverHealth: on the testbed model at the served grid the
+// prefix chain runs one fold per prefix, and the build and a default
+// Optimize2 sweep stay within their round-off budgets: a build mass
+// residual of at most 8.7e-14 and a solve negative mass of at most
+// 2.2e-13.
+func TestTestbedSolverHealth(t *testing.T) {
+	q := TBM1 + TBM2
+	s, err := direct.NewSolver(TestbedModel(true), direct.Config{N: 1 << 13, MaxQueue: [2]int{q, q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := policy.Optimize2(s, TBM1, TBM2, policy.ObjMeanTime, policy.Options2{}); err != nil {
+		t.Fatal(err)
+	}
+	d := s.Diagnostics()
+	if d.BuildFolds != 2*q {
+		t.Fatalf("build ran %d folds, want %d", d.BuildFolds, 2*q)
+	}
+	if d.BuildMassResidualMax > 8.7e-14 {
+		t.Fatalf("build mass residual %.3g above 8.7e-14", d.BuildMassResidualMax)
+	}
+	if d.NegMassMax > 2.2e-13 {
+		t.Fatalf("solve negative mass %.3g above 2.2e-13", d.NegMassMax)
+	}
+	t.Logf("build residual %.3g, build negative mass %.3g, solve residual %.3g, solve negative mass %.3g over %d folds",
+		d.BuildMassResidualMax, d.BuildNegMassMax, d.MassResidualMax, d.NegMassMax, d.Folds)
 }
 
 // TestFig4CAgreement: theory, simulation and the wall-clock testbed must

@@ -33,3 +33,22 @@ func BenchmarkForward4k(b *testing.B) {
 		Forward(a)
 	}
 }
+
+func benchRealForward(b *testing.B, n int) {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i % 7)
+	}
+	spec := make([]complex128, n/2+1)
+	RealForward(spec, x)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RealForward(spec, x)
+	}
+}
+
+// The real transforms of these lengths do the work of complex ones of
+// half the length; compare BenchmarkRealForward8k with BenchmarkForward4k.
+func BenchmarkRealForward4k(b *testing.B)  { benchRealForward(b, 1<<12) }
+func BenchmarkRealForward8k(b *testing.B)  { benchRealForward(b, 1<<13) }
+func BenchmarkRealForward16k(b *testing.B) { benchRealForward(b, 1<<14) }

@@ -155,12 +155,19 @@ func (l *Lattice) Convolve(o *Lattice) *Lattice {
 // round-off mass. The returned lattice is bit-identical to Convolve's.
 func (l *Lattice) ConvolveMetered(o *Lattice, meter *Meter) *Lattice {
 	l.checkCompat(o)
+	return l.fold(o, fft.Convolve(l.M, o.M), meter)
+}
+
+// fold assembles the law of X+Y, X ~ l and Y ~ o, from full, the
+// 2n-1 samples of the linear convolution of l.M and o.M: the first n
+// are kept, the rest join the tail with every tail interaction, and the
+// meter audits the whole of full.
+func (l *Lattice) fold(o *Lattice, full []float64, meter *Meter) *Lattice {
 	n := len(l.M)
-	full := fft.Convolve(l.M, o.M)
 	out := &Lattice{Dx: l.Dx, M: make([]float64, n)}
-	copy(out.M, full[:min(n, len(full))])
+	copy(out.M, full[:n])
 	var overflow float64
-	for _, v := range full[min(n, len(full)):] {
+	for _, v := range full[n:] {
 		overflow += v
 	}
 	massL, massO := 0.0, 0.0
@@ -182,6 +189,15 @@ func (l *Lattice) ConvolveMetered(o *Lattice, meter *Meter) *Lattice {
 		meter.Observe(math.Abs(total-massL*massO), neg)
 	}
 	return out
+}
+
+// SpectrumLen is the length of the half spectra PrefixSpectra returns
+// for n-point lattices: the N+1 bins of a 2N-point real transform with
+// N = NextPow2(n), so 2N ≥ 2n-1 and products of spectra are linear (not
+// circular) convolutions. It is the size fft.Convolve picks for two
+// n-point inputs.
+func SpectrumLen(n int) int {
+	return fft.NextPow2(n) + 1
 }
 
 // ConvPower returns the k-fold convolution of l with itself (the
@@ -219,12 +235,55 @@ func (l *Lattice) Prefixes(k int) []*Lattice {
 // the incremental chain (see Meter). The returned lattices are
 // bit-identical to Prefixes'.
 func (l *Lattice) PrefixesMetered(k int, meter *Meter) []*Lattice {
-	out := make([]*Lattice, k+1)
-	out[0] = PointMass(0, l.Dx, len(l.M))
-	for i := 1; i <= k; i++ {
-		out[i] = out[i-1].ConvolveMetered(l, meter)
+	pre, _ := l.prefixChain(k, meter, false)
+	return pre
+}
+
+// PrefixSpectra is PrefixesMetered that also returns, for every prefix
+// j, spec[j]: the half spectrum (fft.RealForward, SpectrumLen bins) of
+// pre[j].M. Callers that convolve other lattices with the prefixes
+// multiply by these instead of transforming the prefixes again. The
+// lattices are bit-identical to PrefixesMetered's.
+func (l *Lattice) PrefixSpectra(k int, meter *Meter) (pre []*Lattice, spec [][]complex128) {
+	return l.prefixChain(k, meter, true)
+}
+
+// prefixChain runs the prefix chain in the frequency domain. The base
+// law is transformed once; fold i transforms prefix i-1 forward (which
+// is also that prefix's spectrum), multiplies by the base spectrum and
+// transforms back: two real transforms per fold, the same ones
+// fft.Convolve runs on lattices too long for its direct sum. keep
+// retains every prefix's spectrum, paying one more transform for the
+// last prefix.
+func (l *Lattice) prefixChain(k int, meter *Meter, keep bool) ([]*Lattice, [][]complex128) {
+	n := len(l.M)
+	m := SpectrumLen(n)
+	pre := make([]*Lattice, k+1)
+	pre[0] = PointMass(0, l.Dx, n)
+	var specs [][]complex128
+	if keep {
+		specs = make([][]complex128, k+1)
 	}
-	return out
+	base, prod := make([]complex128, m), make([]complex128, m)
+	fft.RealForward(base, l.M)
+	full := make([]float64, 2*n-1)
+	for i := 0; ; i++ {
+		if keep {
+			specs[i] = make([]complex128, m)
+			fft.RealForward(specs[i], pre[i].M)
+		}
+		if i == k {
+			return pre, specs
+		}
+		if keep {
+			copy(prod, specs[i])
+		} else {
+			fft.RealForward(prod, pre[i].M)
+		}
+		fft.MulSpectra(prod, base)
+		fft.RealInverse(full, prod)
+		pre[i+1] = pre[i].fold(l, full, meter)
+	}
 }
 
 // CDF returns the cumulative masses C[i] = P(X ≤ i·Dx). The tail is not
@@ -251,9 +310,13 @@ func (l *Lattice) CDFAt(x float64) float64 {
 	if i >= len(l.M)-1 {
 		return 1 - l.Tail
 	}
-	c := l.CDF()
+	var ci float64
+	for _, m := range l.M[:i+1] {
+		ci += m
+	}
 	frac := pos - float64(i)
-	return c[i] + frac*(c[i+1]-c[i])
+	// (ci+l.M[i+1])-ci is C[i+1]-C[i] as the two CDF sums round.
+	return ci + frac*((ci+l.M[i+1])-ci)
 }
 
 // MaxIndep returns the distribution of max(X, Y) for independent X ~ l,
@@ -261,11 +324,12 @@ func (l *Lattice) CDFAt(x float64) float64 {
 // mass on either side forces the max beyond the horizon.
 func (l *Lattice) MaxIndep(o *Lattice) *Lattice {
 	l.checkCompat(o)
-	cl, co := l.CDF(), o.CDF()
 	out := &Lattice{Dx: l.Dx, M: make([]float64, len(l.M))}
-	prev := 0.0
+	var cl, co, prev float64
 	for i := range out.M {
-		c := cl[i] * co[i]
+		cl += l.M[i]
+		co += o.M[i]
+		c := cl * co
 		out.M[i] = c - prev
 		prev = c
 	}

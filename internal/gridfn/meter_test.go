@@ -2,7 +2,10 @@ package gridfn
 
 import (
 	"math"
+	"sync"
 	"testing"
+
+	"dtr/internal/fft"
 )
 
 // TestConvolveMeteredBitIdentical: attaching a Meter must not change a
@@ -77,4 +80,77 @@ func TestMeterNilSafe(t *testing.T) {
 	if got := e.PrefixesMetered(3, nil); len(got) != 4 {
 		t.Fatalf("PrefixesMetered(3, nil) returned %d lattices", len(got))
 	}
+}
+
+// TestPrefixChainMatchesConvolveFolds: the spectral prefix chain is the
+// chain of Lattice.Convolve folds, to 1e-15 absolute on every bin and
+// tail, with the same meter fold count; the spectra it hands out are
+// the transforms of the lattices it returns.
+func TestPrefixChainMatchesConvolveFolds(t *testing.T) {
+	for _, n := range []int{1, 3, 16, 64, 100, 1024} {
+		e := FromCDF(expCDF(0.3), 0.01, n)
+		const k = 12
+		var mFold, mChain Meter
+		want := []*Lattice{PointMass(0, e.Dx, n)}
+		for j := 1; j <= k; j++ {
+			want = append(want, want[j-1].ConvolveMetered(e, &mFold))
+		}
+		pre, spec := e.PrefixSpectra(k, &mChain)
+		if len(pre) != k+1 || len(spec) != k+1 {
+			t.Fatalf("n=%d: %d prefixes and %d spectra, want %d", n, len(pre), len(spec), k+1)
+		}
+		if mChain.Folds != mFold.Folds {
+			t.Fatalf("n=%d: chain counted %d folds, Convolve chain %d", n, mChain.Folds, mFold.Folds)
+		}
+		for j := range want {
+			if d := math.Abs(pre[j].Tail - want[j].Tail); d > 1e-15 {
+				t.Fatalf("n=%d prefix %d: tail differs by %g", n, j, d)
+			}
+			for i := range want[j].M {
+				if d := math.Abs(pre[j].M[i] - want[j].M[i]); d > 1e-15 {
+					t.Fatalf("n=%d prefix %d bin %d differs by %g", n, j, i, d)
+				}
+			}
+			got := make([]complex128, SpectrumLen(n))
+			fft.RealForward(got, pre[j].M)
+			for i := range got {
+				if got[i] != spec[j][i] {
+					t.Fatalf("n=%d prefix %d: spectrum bin %d is %v, transform %v", n, j, i, spec[j][i], got[i])
+				}
+			}
+		}
+		plain := e.Prefixes(k)
+		for j := range plain {
+			for i := range plain[j].M {
+				if plain[j].M[i] != pre[j].M[i] {
+					t.Fatalf("n=%d prefix %d bin %d: Prefixes and PrefixSpectra differ", n, j, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPrefixSpectraConcurrent runs chains from several goroutines at
+// once (shared FFT plans) and checks each against a serial run; it is
+// meant for -race.
+func TestPrefixSpectraConcurrent(t *testing.T) {
+	e := FromCDF(expCDF(0.5), 0.01, 512)
+	want, _ := e.PrefixSpectra(8, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _ := e.PrefixSpectra(8, nil)
+			for j := range want {
+				for i := range want[j].M {
+					if got[j].M[i] != want[j].M[i] {
+						t.Errorf("prefix %d bin %d differs across goroutines", j, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
